@@ -38,13 +38,11 @@ Commands mirror the user journeys of the examples:
   warmup/repeat control and emit/compare the ``BENCH_*.json`` perf
   document (``--compare BASELINE.json --max-regress PCT`` exits
   non-zero on regression; see :mod:`repro.perf`);
-- ``trace``         — run a sweep with pipeline tracing on and write
-  the spans as Chrome trace-event JSON (load in Perfetto or
-  ``chrome://tracing``); ``--analyze`` adds the critical path /
-  self-time / occupancy / straggler report, ``--from FILE`` analyses
-  a saved trace instead of running; ``sweep``/``diff``/``submit``/
-  ``explore`` grow the same capture via ``--trace-out FILE``
-  (see :mod:`repro.obs`);
+- ``analyze FILE``  — the critical path / self-time / occupancy /
+  straggler report of a Chrome trace that ``sweep``/``diff``/
+  ``submit``/``explore`` wrote with ``--trace-out FILE`` (load the
+  same file in Perfetto or ``chrome://tracing``; see
+  :mod:`repro.obs`);
 - ``metrics``       — print the Prometheus text exposition of this
   process's metric registry, or scrape a running server's
   ``/metrics`` with ``--server URL``;
@@ -174,7 +172,7 @@ def _parser():
     sweep.add_argument("--flame-out", default=None, metavar="FILE",
                        help="sample the driving thread during the "
                             "sweep and write collapsed flame stacks "
-                            "to FILE (rate: $REPRO_PROFILE_HZ)")
+                            "to FILE")
     add_cache_flags(sweep)
     add_quiet(sweep)
 
@@ -358,8 +356,7 @@ def _parser():
                             "(default 5)")
     bench.add_argument("--flame-out", default=None, metavar="FILE",
                        help="sample the bench thread and write "
-                            "collapsed flame stacks to FILE (rate: "
-                            "$REPRO_PROFILE_HZ)")
+                            "collapsed flame stacks to FILE")
     bench.add_argument("--cache-dir", default=None,
                        help="directory holding the run ledger "
                             "(default ~/.cache/repro or "
@@ -384,8 +381,8 @@ def _parser():
                              "clock profiler instead of cProfile "
                              "(collapsed-stack flame output)")
     profile.add_argument("--hz", type=float, default=None,
-                        help="sampling rate for --flame (default "
-                             "$REPRO_PROFILE_HZ or 97)")
+                        help="sampling rate for --flame "
+                             "(default 97)")
     profile.add_argument("--repeat", type=int, default=5,
                         help="mappings sampled under one --flame "
                              "profile (default 5 — one mapping is "
@@ -394,43 +391,15 @@ def _parser():
                         help="write collapsed flame stacks to FILE "
                              "(flamegraph.pl / speedscope input)")
 
-    trace_cmd = sub.add_parser(
-        "trace", help="run a traced sweep, write Chrome trace JSON "
-                      "(see repro.obs)")
-    trace_cmd.add_argument("--kernels", default=None,
-                           help="comma-separated kernels "
-                                "(default: all)")
-    trace_cmd.add_argument("--configs", default=None,
-                           help="comma-separated configs (default: "
-                                "HOM64,HOM32,HET1,HET2)")
-    trace_cmd.add_argument("--variants", default=None,
-                           help="comma-separated flow variants "
-                                "(default: all)")
-    trace_cmd.add_argument("--seed", type=int, default=7)
-    trace_cmd.add_argument("--backend", default=None,
-                           help="execution backend (default analytic)")
-    trace_cmd.add_argument("--workers", type=int, default=1,
-                           help="worker processes (1 = serial); "
-                                "worker spans stitch into the tree")
-    trace_cmd.add_argument("--out", default="trace.json",
-                           metavar="FILE",
-                           help="Chrome trace-event JSON output "
-                                "(default trace.json); load it in "
-                                "Perfetto or chrome://tracing")
-    trace_cmd.add_argument("--analyze", action="store_true",
-                           help="also print trace analytics: "
-                                "critical path, per-stage self time, "
-                                "worker occupancy, straggler shards")
-    trace_cmd.add_argument("--from", dest="from_file", default=None,
-                           metavar="FILE",
-                           help="analyze a saved --trace-out file "
-                                "instead of running a sweep "
-                                "(implies --analyze)")
-    trace_cmd.add_argument("--json", action="store_true",
-                           help="emit the trace-analysis payload as "
-                                "JSON on stdout")
-    add_cache_flags(trace_cmd)
-    add_quiet(trace_cmd)
+    analyze_cmd = sub.add_parser(
+        "analyze", help="analyze a saved --trace-out file "
+                        "(see repro.obs.analyze)")
+    analyze_cmd.add_argument("file", metavar="FILE",
+                             help="Chrome trace JSON written by "
+                                  "--trace-out")
+    analyze_cmd.add_argument("--json", action="store_true",
+                             help="emit the trace-analysis payload "
+                                  "as JSON on stdout")
 
     history = sub.add_parser(
         "history", help="render the persistent run ledger "
@@ -512,10 +481,6 @@ def _parser():
                             "jobs left queued/running by a killed "
                             "server are requeued under their "
                             "original IDs")
-    serve.add_argument("--no-journal", action="store_true",
-                       help="do not record job transitions to the "
-                            "durable journal (<cache-dir>/"
-                            "jobs.jsonl)")
     add_cache_flags(serve)
     add_quiet(serve)
 
@@ -641,31 +606,24 @@ def _progress(args):
     return None if _quiet_requested(args) else _stderr_progress
 
 
-@contextlib.contextmanager
 def _flame_scope(args):
-    """Sample the driving thread for ``--flame-out``, if requested.
-
-    Stacks are written even when the wrapped run fails — a profile
-    of the run that misbehaved is the one worth keeping.
-    """
-    flame_out = getattr(args, "flame_out", None)
-    if not flame_out:
-        yield
-        return
-    import threading
-
+    """Sample the driving thread for ``--flame-out``, if requested."""
+    if not args.flame_out:
+        return contextlib.nullcontext()
     from repro.obs import flame
-    rate = flame.resolve_hz() or flame.DEFAULT_HZ
-    profiler = flame.SamplingProfiler(
-        rate, thread_ids={threading.get_ident()})
-    profiler.start()
-    try:
-        yield
-    finally:
-        counts = profiler.stop()
-        flame.write_collapsed(flame_out, counts)
-        print(f"{sum(counts.values())} stack sample(s) @ {rate:g} Hz "
-              f"-> {flame_out}", file=sys.stderr, flush=True)
+    return flame.capture(args.flame_out)
+
+
+def _output_status(status, error):
+    """Fold an unwritable output file into the exit status.
+
+    The output is reported as one ``error:`` line; the run's own
+    non-zero status wins, and a run that otherwise succeeded exits 1.
+    """
+    if error is None:
+        return status
+    print(f"error: {error}", file=sys.stderr)
+    return status or 1
 
 
 def _record_ledger(args, command, summary):
@@ -832,7 +790,7 @@ def _sweep(args):
         # recorded in the ledger, whose trends compare whole runs.
         return _run_shard(args, cache, specs, shard)
     from repro.runtime.pool import run_sweep
-    with _flame_scope(args):
+    with _flame_scope(args) as sampler:
         result = run_sweep(specs, workers=args.workers, cache=cache,
                            progress=_progress(args),
                            point_timeout=args.point_timeout)
@@ -846,7 +804,8 @@ def _sweep(args):
         if cache is not None:
             print(f"cache: {cache.directory} ({cache.hits} hits, "
                   f"{cache.stores} new entries)")
-    return 1 if result.crashed else 0
+    return _output_status(1 if result.crashed else 0,
+                          getattr(sampler, "write_error", None))
 
 
 def _diff(args):
@@ -1114,7 +1073,7 @@ def _bench(args):
                               variants=_split_axis(args.variants))
     progress = None if _quiet_requested(args) else (
         lambda line: print(line, file=sys.stderr, flush=True))
-    with _flame_scope(args):
+    with _flame_scope(args) as sampler:
         results = run_bench(cases, warmup=args.warmup,
                             repeat=args.repeat,
                             reducer=args.reducer, progress=progress)
@@ -1162,44 +1121,15 @@ def _bench(args):
             status = 3
     from repro.perf.ledger import bench_summary
     _record_ledger(args, "bench", bench_summary(payload))
-    return status
+    return _output_status(status, getattr(sampler, "write_error", None))
 
 
-def _print_analysis(spans, as_json):
+def _analyze(args):
     from repro.obs import analyze
-    payload = analyze.analyze_spans(spans)
-    print(json.dumps(payload, indent=2) if as_json
+    payload = analyze.analyze_spans(analyze.load_trace_file(args.file))
+    print(json.dumps(payload, indent=2) if args.json
           else analyze.render_analysis(payload))
-
-
-def _trace(args):
-    from repro.obs import trace
-    from repro.runtime.pool import run_sweep
-    from repro.runtime.sweep import validated_sweep_specs
-
-    if args.from_file:
-        # Post-mortem mode: analyse a saved --trace-out file without
-        # running anything.
-        from repro.obs import analyze
-        _print_analysis(analyze.load_trace_file(args.from_file),
-                        args.json)
-        return 0
-    specs = validated_sweep_specs(kernels=_split_axis(args.kernels),
-                                  configs=_split_axis(args.configs),
-                                  variants=_split_axis(args.variants),
-                                  seed=args.seed,
-                                  backend=args.backend)
-    trace.enable_tracing()
-    result = run_sweep(specs, workers=args.workers,
-                       cache=_cache_from(args),
-                       progress=_progress(args))
-    spans = trace.drain_spans()
-    out = trace.write_chrome_trace(args.out, spans)
-    print(f"{len(spans)} spans from {len(specs)} point(s) -> {out}",
-          file=sys.stderr, flush=True)
-    if args.analyze:
-        _print_analysis(spans, args.json)
-    return 1 if result.crashed else 0
+    return 0
 
 
 def _history(args):
@@ -1289,17 +1219,13 @@ def _profile(args):
     case = BenchCase(args.kernel, args.config, args.variant)
     if args.flame or args.flame_out:
         from repro.obs import flame
-        rate = args.hz if args.hz is not None \
-            else (flame.resolve_hz() or flame.DEFAULT_HZ)
-        counts, wakeups = flame_case(case, rate, repeat=args.repeat)
-        if args.flame_out:
-            flame.write_collapsed(args.flame_out, counts)
-            print(f"{sum(counts.values())} stack sample(s) -> "
-                  f"{args.flame_out}", file=sys.stderr, flush=True)
-        print(f"flame: {case.name} ({wakeups} wakeup(s) @ {rate:g} Hz "
-              f"x {max(1, args.repeat)} mapping(s))")
-        print(flame.render_flame(counts, top=args.top))
-        return 0
+        rate = args.hz if args.hz is not None else flame.DEFAULT_HZ
+        profiler = flame_case(case, rate, repeat=args.repeat,
+                              path=args.flame_out)
+        print(f"flame: {case.name} ({profiler.samples} wakeup(s) @ "
+              f"{rate:g} Hz x {max(1, args.repeat)} mapping(s))")
+        print(flame.render_flame(profiler.counts, top=args.top))
+        return _output_status(0, profiler.write_error)
     if args.hz is not None:
         raise ReproError("--hz only applies with --flame")
     text, _ = profile_case(case, top=args.top, sort=args.sort)
@@ -1317,8 +1243,8 @@ def _kernels(_args):
 
 
 def _serve(args):
-    from repro.serve.journal import (
-        JobJournal, journal_path, journalling_enabled)
+    from repro import jsonl
+    from repro.serve.journal import ENV_JOURNAL, JobJournal, journal_path
     from repro.serve.server import make_server
 
     cache = _cache_from(args)
@@ -1327,14 +1253,13 @@ def _serve(args):
     # (the cache may itself be disabled; the journal still needs a
     # home, so it falls back to the default directory).
     journal = None
-    if not args.no_journal and journalling_enabled():
+    if jsonl.enabled(ENV_JOURNAL):
         journal = JobJournal(journal_path(
             cache.directory if cache is not None
             else getattr(args, "cache_dir", None)))
     if args.resume and journal is None:
         raise ReproError(
-            "--resume needs the job journal; drop --no-journal "
-            "and REPRO_JOB_JOURNAL=0")
+            f"--resume needs the job journal; drop {ENV_JOURNAL}=0")
     try:
         server = make_server(host=args.host, port=args.port,
                              workers=args.workers, cache=cache,
@@ -1470,30 +1395,37 @@ def main(argv=None):
                 "diff": _diff, "merge": _merge, "cache": _cache,
                 "figure": _figure, "explore": _explore,
                 "serve": _serve, "submit": _submit, "bench": _bench,
-                "profile": _profile, "trace": _trace,
+                "profile": _profile, "analyze": _analyze,
                 "metrics": _metrics, "history": _history,
                 "report": _report, "chaos": _chaos}
-    # ``--trace-out`` (sweep/diff) records the whole command and
-    # dumps whatever landed even on a failing exit — a trace of the
-    # run that misbehaved is the one worth keeping.
+    # ``--trace-out`` (sweep/diff/submit/explore) records the whole
+    # command and dumps whatever landed even on a failing exit — a
+    # trace of the run that misbehaved is the one worth keeping.
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
         from repro.obs import trace
         trace.enable_tracing()
+    trace_error = None
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
     except UnmappableError as error:
         print(f"no mapping: {error}", file=sys.stderr)
-        return 2
+        status = 2
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 1
+        status = 1
     finally:
         if trace_out:
             spans = trace.drain_spans()
-            trace.write_chrome_trace(trace_out, spans)
-            print(f"{len(spans)} spans -> {trace_out}",
-                  file=sys.stderr, flush=True)
+            try:
+                trace.write_chrome_trace(trace_out, spans)
+            except OSError as error:
+                trace_error = f"cannot write trace to {trace_out}: " \
+                              f"{error}"
+            else:
+                print(f"{len(spans)} spans -> {trace_out}",
+                      file=sys.stderr, flush=True)
+    return _output_status(status, trace_error)
 
 
 if __name__ == "__main__":

@@ -10,50 +10,24 @@ library — a daemon thread wakes ``hz`` times per second, snapshots
 fixed, tiny tax proportional to ``hz``, not to the workload.
 
 Output is the collapsed-stack format (``outer;inner;leaf count`` per
-line) that flamegraph.pl / speedscope / inferno all consume, written
-by ``--flame-out`` on sweep/bench or ``repro profile --flame``.
-
-Scoping follows the span idiom: ``profiled_span("mapping")`` opens a
-span *and* samples the calling thread while it is open, gated by an
-explicit ``hz`` or the ``REPRO_PROFILE_HZ`` env var — zero means off,
-and off costs nothing.
+line) that flamegraph.pl / speedscope / inferno all consume.  Every
+capture — ``--flame-out`` on sweep/bench and ``repro profile
+--flame`` — goes through :func:`capture`, which samples the calling
+thread for the duration of a ``with`` block.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager
 
 from repro.errors import ReproError
-from repro.obs import trace
-
-#: Env var enabling scoped profiling (samples per second; 0/unset = off).
-ENV_PROFILE_HZ = "REPRO_PROFILE_HZ"
 
 #: Default sampling rate when profiling is requested without a rate.
 #: Prime-ish, so a periodic workload can't hide between samples.
 DEFAULT_HZ = 97.0
-
-_lock = threading.Lock()
-_accumulated = Counter()
-
-
-def resolve_hz(hz=None):
-    """Effective sampling rate: explicit arg beats env beats off."""
-    if hz is not None:
-        return float(hz)
-    raw = os.environ.get(ENV_PROFILE_HZ, "").strip()
-    if not raw:
-        return 0.0
-    try:
-        return float(raw)
-    except ValueError:
-        raise ReproError(
-            f"{ENV_PROFILE_HZ}={raw!r} is not a sampling rate") \
-            from None
 
 
 def _frame_stack(frame):
@@ -72,7 +46,7 @@ class SamplingProfiler:
     """Wall-clock stack sampler over ``sys._current_frames()``.
 
     ``thread_ids`` pins sampling to specific threads (e.g. the one
-    inside a ``profiled_span``); ``None`` samples every thread except
+    inside a :func:`capture`); ``None`` samples every thread except
     the sampler itself.
     """
 
@@ -84,6 +58,7 @@ class SamplingProfiler:
                            if thread_ids is not None else None)
         self.counts = Counter()
         self.samples = 0
+        self.write_error = None
         self._stop = threading.Event()
         self._thread = None
 
@@ -129,48 +104,34 @@ class SamplingProfiler:
         return False
 
 
-def accumulate(counts):
-    """Fold a profiler's counts into the process-wide accumulator."""
-    with _lock:
-        _accumulated.update(counts)
-
-
-def drain_accumulated():
-    """Take and clear everything accumulated so far."""
-    with _lock:
-        counts = Counter(_accumulated)
-        _accumulated.clear()
-    return counts
-
-
-def snapshot_accumulated():
-    """Accumulated counts without clearing them."""
-    with _lock:
-        return Counter(_accumulated)
-
-
 @contextmanager
-def profiled_span(name, hz=None, **attrs):
-    """A span that also samples the calling thread while open.
+def capture(path=None, hz=DEFAULT_HZ):
+    """Sample the calling thread while the body runs.
 
-    With an effective rate of zero this is exactly ``trace.span`` —
-    the profiling path costs nothing unless asked for.  Collected
-    stacks land in the module accumulator so callers (sweep/bench
-    ``--flame-out``) can drain one merged profile at the end.
+    Yields the running :class:`SamplingProfiler`.  On exit the stacks
+    are written to ``path``, when given, with a one-line summary on
+    stderr — also when the body raised, since a profile of the run
+    that misbehaved is the one worth keeping.  A ``path`` that cannot
+    be written leaves the reason in the profiler's ``write_error``
+    instead of raising, so it never masks the run's own outcome.
     """
-    rate = resolve_hz(hz)
-    if rate <= 0:
-        with trace.span(name, **attrs):
-            yield None
-        return
     profiler = SamplingProfiler(
-        rate, thread_ids={threading.get_ident()})
-    with trace.span(name, profile_hz=rate, **attrs):
-        profiler.start()
-        try:
-            yield profiler
-        finally:
-            accumulate(profiler.stop())
+        hz, thread_ids={threading.get_ident()})
+    profiler.start()
+    try:
+        yield profiler
+    finally:
+        counts = profiler.stop()
+        if path:
+            try:
+                write_collapsed(path, counts)
+            except OSError as error:
+                profiler.write_error = (
+                    f"cannot write flame stacks to {path}: {error}")
+            else:
+                print(f"{sum(counts.values())} stack sample(s) @ "
+                      f"{hz:g} Hz -> {path}", file=sys.stderr,
+                      flush=True)
 
 
 def collapsed_lines(counts):

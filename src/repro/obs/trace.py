@@ -13,8 +13,8 @@ across worker processes and HTTP hops.
 Tracing is **off by default** and the off path is near-free:
 :func:`span` returns a shared no-op context manager without
 allocating anything when no trace is active.  Turn it on with
-:func:`enable_tracing` (the ``repro trace`` command, ``--trace-out``)
-or ``REPRO_TRACE=1`` in the environment.
+:func:`enable_tracing`, which ``--trace-out FILE`` does for one
+command before writing the spans to FILE.
 
 Propagation uses a W3C-``traceparent``-shaped header,
 ``00-{trace_id}-{span_id}-01``:
@@ -44,9 +44,6 @@ import os
 import threading
 import time
 import uuid
-
-#: Environment variable enabling tracing for the whole process.
-ENV_TRACE = "REPRO_TRACE"
 
 #: Version prefix / sampled flag of the traceparent header we speak.
 _TRACEPARENT_VERSION = "00"
@@ -122,10 +119,6 @@ class _Collector:
 _collector = _Collector()
 
 
-def _truthy(value):
-    return (value or "").strip().lower() not in ("", "0", "false", "no")
-
-
 def enable_tracing():
     """Record spans process-wide until :func:`disable_tracing`."""
     _collector.enabled = True
@@ -159,10 +152,6 @@ def reset_tracing():
 def dropped_spans():
     """How many spans the bounded buffer has refused so far."""
     return _collector.dropped
-
-
-if _truthy(os.environ.get(ENV_TRACE)):  # pragma: no cover - env path
-    enable_tracing()
 
 
 def new_trace_id():

@@ -1,6 +1,6 @@
 """repro.perf — tracked mapper performance (see README).
 
-The subsystem has three parts:
+The subsystem has four parts:
 
 - :mod:`repro.perf.harness` — times ``map_kernel`` over a case grid
   with warmup/repeat control (``repro bench``);
@@ -8,10 +8,11 @@ The subsystem has three parts:
   benchmark producers share, plus baseline comparison with a
   regression threshold (``repro bench --compare``);
 - :mod:`repro.perf.profile` — cProfile or flame-sample a single
-  mapping (``repro profile``);
+  mapping (``repro profile``; sampling goes through
+  :func:`repro.obs.flame.capture`, like ``--flame-out``);
 - :mod:`repro.perf.ledger` — the append-only run ledger every
   bench/sweep/diff run records to (``repro history``,
-  ``repro bench --compare-ledger``).
+  ``repro bench --compare-ledger``), a :mod:`repro.jsonl` log.
 """
 
 from repro.perf import ledger

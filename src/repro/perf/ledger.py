@@ -10,8 +10,9 @@ exactly like cached results) to which every ``repro bench`` /
 
 Design points:
 
-- **append-only JSONL** — a crashed writer corrupts at most its own
-  line, and readers skip malformed lines instead of dying;
+- **append-only JSONL** (:mod:`repro.jsonl`) — a crashed writer
+  corrupts at most its own line, and readers skip malformed lines
+  instead of dying;
 - **schema-versioned** like every other repro document, with the
   command name and host recorded so comparisons can filter to
   same-host, same-command entries;
@@ -26,15 +27,12 @@ Design points:
 
 from __future__ import annotations
 
-import datetime
 import json
-import os
 import pathlib
 import platform
 import statistics
-import time
 
-from repro import __version__
+from repro import __version__, jsonl
 from repro.errors import ReproError
 from repro.perf.schema import compare_benchmarks
 from repro.runtime.cache import default_cache_dir
@@ -60,20 +58,16 @@ def ledger_path(cache_dir=None):
 
 def recording_enabled():
     """False when ``REPRO_LEDGER`` opts out."""
-    return os.environ.get(ENV_LEDGER, "").strip().lower() \
-        not in ("0", "false", "no")
+    return jsonl.enabled(ENV_LEDGER)
 
 
 def make_entry(command, summary, created_unix=None):
     """One ledger line for a finished run of ``command``."""
-    recorded = created_unix if created_unix is not None else time.time()
     return {
         "kind": "ledger-entry",
         "schema": LEDGER_SCHEMA,
         "command": command,
-        "recorded_unix": round(recorded, 3),
-        "recorded_at": datetime.datetime.fromtimestamp(
-            recorded, datetime.timezone.utc).isoformat(),
+        **jsonl.stamp(created_unix),
         "hostname": platform.node(),
         "package_version": __version__,
         "summary": summary,
@@ -82,12 +76,7 @@ def make_entry(command, summary, created_unix=None):
 
 def append_entry(entry, path):
     """Append one entry as a compact JSON line; returns the path."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True,
-                                separators=(",", ":")) + "\n")
-    return path
+    return jsonl.write(path, entry)
 
 
 def record(command, summary, cache_dir=None):
@@ -99,11 +88,13 @@ def record(command, summary, cache_dir=None):
     if not recording_enabled():
         return None
     entry = make_entry(command, summary)
-    try:
-        append_entry(entry, ledger_path(cache_dir))
-    except OSError:
-        return None
-    return entry
+    return entry if jsonl.append(ledger_path(cache_dir), entry) \
+        else None
+
+
+def _is_entry(entry):
+    return entry.get("kind") == "ledger-entry" \
+        and isinstance(entry.get("summary"), dict)
 
 
 def read_ledger(path=None, command=None, host=None, limit=None):
@@ -113,32 +104,10 @@ def read_ledger(path=None, command=None, host=None, limit=None):
     ``skipped`` and otherwise ignored.  ``limit`` keeps the *newest*
     N entries after filtering.
     """
-    path = pathlib.Path(path) if path else ledger_path()
-    entries, skipped = [], 0
-    try:
-        with open(path) as handle:
-            lines = handle.readlines()
-    except OSError:
-        return [], 0
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if not isinstance(entry, dict) \
-                or entry.get("kind") != "ledger-entry" \
-                or not isinstance(entry.get("summary"), dict):
-            skipped += 1
-            continue
-        if command is not None and entry.get("command") != command:
-            continue
-        if host is not None and entry.get("hostname") != host:
-            continue
-        entries.append(entry)
+    entries, skipped = jsonl.read(path or ledger_path(), _is_entry)
+    entries = [entry for entry in entries
+               if (command is None or entry.get("command") == command)
+               and (host is None or entry.get("hostname") == host)]
     if limit is not None and limit >= 0:
         entries = entries[-limit:] if limit else []
     return entries, skipped

@@ -1,4 +1,4 @@
-"""``repro profile`` — cProfile one ``map_kernel`` run.
+"""``repro profile`` — cProfile or flame-sample one ``map_kernel`` run.
 
 Future perf work should start from data, not guesses: this wraps one
 mapping in cProfile and prints the top functions by cumulative time,
@@ -11,7 +11,6 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-import threading
 
 from repro.arch.configs import get_config
 from repro.errors import UnmappableError
@@ -21,22 +20,35 @@ from repro.mapping.flow import VARIANTS, map_kernel
 from repro.perf.harness import BenchCase
 
 
-def profile_case(case: BenchCase, top=20, sort="cumulative"):
-    """Profile one mapping; returns (stats_text, result_or_None).
+def _mapper(case: BenchCase):
+    """Build ``case`` once; returns the call both profilers wrap.
 
-    ``sort`` is any pstats key (``cumulative``, ``tottime``, ...).
+    The call maps the case and returns the result, or None when the
+    case is unmappable.
     """
     case.validate()
     kernel = get_kernel(case.kernel)
     cgra = get_config(case.config)
     options = VARIANTS[case.variant]()
+
+    def run():
+        try:
+            return map_kernel(kernel.cdfg, cgra, options)
+        except UnmappableError:
+            return None
+    return run
+
+
+def profile_case(case: BenchCase, top=20, sort="cumulative"):
+    """Profile one mapping; returns (stats_text, result_or_None).
+
+    ``sort`` is any pstats key (``cumulative``, ``tottime``, ...).
+    """
+    run = _mapper(case)
     profiler = cProfile.Profile()
-    result = None
     profiler.enable()
     try:
-        result = map_kernel(kernel.cdfg, cgra, options)
-    except UnmappableError:
-        pass
+        result = run()
     finally:
         profiler.disable()
     stream = io.StringIO()
@@ -47,28 +59,20 @@ def profile_case(case: BenchCase, top=20, sort="cumulative"):
     return header + "\n" + stream.getvalue(), result
 
 
-def flame_case(case: BenchCase, hz, repeat=5):
-    """Sample ``repeat`` mappings of one case; returns stack counts.
+def flame_case(case: BenchCase, hz, repeat=5, path=None):
+    """Sample ``repeat`` mappings of one case; returns the profiler.
 
     A single mapping is milliseconds — too fast for a wall-clock
     sampler to see much — so the case is mapped ``repeat`` times
     under one profiler.  Unlike :func:`profile_case` the sampler adds
     no per-call overhead, so the repeats measure the real code.
+    Sampling and the ``path`` output go through
+    :func:`repro.obs.flame.capture`.
     """
-    from repro.obs.flame import SamplingProfiler
+    from repro.obs.flame import capture
 
-    case.validate()
-    kernel = get_kernel(case.kernel)
-    cgra = get_config(case.config)
-    options = VARIANTS[case.variant]()
-    profiler = SamplingProfiler(hz, thread_ids={threading.get_ident()})
-    profiler.start()
-    try:
+    run = _mapper(case)
+    with capture(path, hz) as profiler:
         for _ in range(max(1, repeat)):
-            try:
-                map_kernel(kernel.cdfg, cgra, options)
-            except UnmappableError:
-                pass
-    finally:
-        counts = profiler.stop()
-    return counts, profiler.samples
+            run()
+    return profiler

@@ -5,9 +5,10 @@ an OOM kill, or a deploy) used to silently drop every queued and
 running job.  The journal fixes that with the cheapest durable
 structure the repo already trusts: an append-only JSONL file in the
 cache directory, next to ``ledger.jsonl`` and under the same
-contract — one self-describing JSON object per line, schema-tagged,
-writers best-effort (journalling must never fail the job it
-records), readers skip-and-count malformed or foreign lines.
+:mod:`repro.jsonl` contract — one self-describing JSON object per
+line, schema-tagged, writers best-effort (journalling must never
+fail the job it records), readers skip-and-count malformed or
+foreign lines.
 
 One line per job *transition*::
 
@@ -29,12 +30,10 @@ requeued.
 
 from __future__ import annotations
 
-import datetime
-import json
-import os
 import pathlib
 import threading
-import time
+
+from repro import jsonl
 
 #: Version of a job-event line.
 JOURNAL_SCHEMA = 1
@@ -60,12 +59,6 @@ def journal_path(cache_dir=None):
     return base / JOURNAL_FILENAME
 
 
-def journalling_enabled():
-    """False when ``REPRO_JOB_JOURNAL`` opts out."""
-    return os.environ.get(ENV_JOURNAL, "").strip().lower() \
-        not in ("0", "false", "no")
-
-
 class JobJournal:
     """Append-only recorder + replayer of job lifecycle events."""
 
@@ -85,29 +78,16 @@ class JobJournal:
         not be able to fail a submission or wedge a runner.  Returns
         None when journalling is disabled or the write failed.
         """
-        if not journalling_enabled():
+        if not jsonl.enabled(ENV_JOURNAL):
             return None
-        now = time.time()
-        entry = {
-            "kind": "job-event",
-            "schema": JOURNAL_SCHEMA,
-            "event": event,
-            "job_id": job_id,
-            "recorded_unix": round(now, 3),
-            "recorded_at": datetime.datetime.fromtimestamp(
-                now, datetime.timezone.utc).isoformat(),
-        }
-        entry.update(fields)
-        line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        try:
-            with self._lock:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a") as handle:
-                    handle.write(line + "\n")
-        except OSError:
+        entry = {"kind": "job-event", "schema": JOURNAL_SCHEMA,
+                 "event": event, "job_id": job_id, **jsonl.stamp(),
+                 **fields}
+        with self._lock:
+            if jsonl.append(self.path, entry):
+                return entry
             self.write_errors += 1
-            return None
-        return entry
+        return None
 
     def replay(self):
         """``(jobs, skipped)``: last known state per journaled job.
@@ -118,27 +98,9 @@ class JobJournal:
         or foreign lines are counted in ``skipped`` and ignored, the
         same reader contract as the run ledger.
         """
-        jobs, skipped = {}, 0
-        try:
-            with open(self.path) as handle:
-                lines = handle.readlines()
-        except OSError:
-            return {}, 0
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if not isinstance(entry, dict) \
-                    or entry.get("kind") != "job-event" \
-                    or entry.get("event") not in EVENTS \
-                    or not isinstance(entry.get("job_id"), str):
-                skipped += 1
-                continue
+        entries, skipped = jsonl.read(self.path, _is_event)
+        jobs = {}
+        for entry in entries:
             state = jobs.setdefault(entry["job_id"], {})
             state["event"] = entry["event"]
             if entry["event"] == "submitted":
@@ -146,3 +108,9 @@ class JobJournal:
                 state["body"] = entry.get("body")
                 state["priority"] = entry.get("priority", 0)
         return jobs, skipped
+
+
+def _is_event(entry):
+    return entry.get("kind") == "job-event" \
+        and entry.get("event") in EVENTS \
+        and isinstance(entry.get("job_id"), str)

@@ -110,3 +110,33 @@ class TestTraceOnFailingExit:
         with open(out) as fh:
             document = json.load(fh)
         assert isinstance(document["traceEvents"], list)
+
+    def test_unwritable_trace_out_is_one_error_line(self, tmp_path,
+                                                    capsys):
+        missing = tmp_path / "missing" / "trace.json"
+        # The sweep itself succeeds; losing its trace fails the run.
+        code = main(["sweep", "--kernels", "dc_filter",
+                     "--configs", "HOM64", "--variants", "basic",
+                     "--no-cache", "--quiet",
+                     "--trace-out", str(missing)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert str(missing) in errors[0]
+
+    def test_unwritable_trace_out_keeps_the_run_status(self, tmp_path,
+                                                       capsys):
+        # Zero tolerances turn the known one-cycle backend gap into a
+        # differential verdict (exit 4) the lost trace must not mask.
+        missing = tmp_path / "missing" / "trace.json"
+        code = main(["diff", "--kernels", "dc_filter",
+                     "--configs", "HOM64", "--variants", "basic",
+                     "--no-cache", "--quiet", "--abs-tol", "0",
+                     "--rel-tol", "0", "--trace-out", str(missing)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: cannot write trace to {missing}" in err

@@ -7,17 +7,14 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ReproError
-from repro.obs import flame, trace
 from repro.obs.flame import (
-    DEFAULT_HZ,
-    ENV_PROFILE_HZ,
     SamplingProfiler,
+    capture,
     collapsed_lines,
-    profiled_span,
     render_flame,
-    resolve_hz,
     write_collapsed,
 )
+from repro.perf.ledger import append_entry, ledger_path, make_entry
 
 
 def busy_wait(seconds):
@@ -25,25 +22,6 @@ def busy_wait(seconds):
     deadline = time.perf_counter() + seconds
     while time.perf_counter() < deadline:
         sum(range(100))
-
-
-class TestResolveHz:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "50")
-        assert resolve_hz(200) == 200.0
-
-    def test_env_used_when_no_arg(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "123.5")
-        assert resolve_hz() == 123.5
-
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv(ENV_PROFILE_HZ, raising=False)
-        assert resolve_hz() == 0.0
-
-    def test_junk_env_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "fast")
-        with pytest.raises(ReproError, match="sampling rate"):
-            resolve_hz()
 
 
 class TestSamplingProfiler:
@@ -104,35 +82,40 @@ class TestSamplingProfiler:
         assert "busy_wait" in frames[-1]
 
 
-class TestProfiledSpan:
-    def test_off_by_default_records_plain_span(self, monkeypatch):
-        monkeypatch.delenv(ENV_PROFILE_HZ, raising=False)
-        flame.drain_accumulated()
-        trace.enable_tracing()
-        with profiled_span("quiet") as profiler:
-            assert profiler is None
-        spans = trace.drain_spans()
-        assert [s["name"] for s in spans] == ["quiet"]
-        assert sum(flame.drain_accumulated().values()) == 0
+class TestCapture:
+    def test_samples_only_the_calling_thread(self):
+        import threading
+        stop = threading.Event()
 
-    def test_accumulates_when_enabled(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "400")
-        flame.drain_accumulated()
-        trace.enable_tracing()
-        with profiled_span("hot") as profiler:
-            assert profiler is not None
+        def noisy_wait():
+            stop.wait(2.0)
+
+        noisy = threading.Thread(target=noisy_wait, daemon=True)
+        noisy.start()
+        with capture(hz=400) as profiler:
             busy_wait(0.1)
-        counts = flame.drain_accumulated()
-        assert sum(counts.values()) > 0
-        spans = trace.drain_spans()
-        assert spans[0]["attrs"]["profile_hz"] == 400.0
+        stop.set()
+        assert any("busy_wait" in stack for stack in profiler.counts)
+        assert not any("noisy_wait" in stack
+                       for stack in profiler.counts)
 
-    def test_snapshot_preserves_accumulator(self):
-        flame.drain_accumulated()
-        flame.accumulate(Counter({"a;b": 3}))
-        assert flame.snapshot_accumulated() == Counter({"a;b": 3})
-        assert flame.drain_accumulated() == Counter({"a;b": 3})
-        assert sum(flame.snapshot_accumulated().values()) == 0
+    def test_writes_stacks_even_when_the_body_fails(self, tmp_path,
+                                                    capsys):
+        target = tmp_path / "failed.flame"
+        with pytest.raises(RuntimeError):
+            with capture(target, hz=400):
+                busy_wait(0.1)
+                raise RuntimeError("the run misbehaved")
+        assert "busy_wait" in target.read_text()
+        assert "stack sample(s) @ 400 Hz" in capsys.readouterr().err
+
+    def test_unwritable_path_is_reported_not_raised(self, tmp_path):
+        target = tmp_path / "missing" / "out.flame"
+        with capture(target, hz=400) as profiler:
+            busy_wait(0.05)
+        assert profiler.write_error.startswith(
+            f"cannot write flame stacks to {target}")
+        assert not target.exists()
 
 
 class TestCollapsedOutput:
@@ -183,8 +166,7 @@ class TestCliFlame:
                      "--hz", "100"]) == 1
         assert "--hz only applies" in capsys.readouterr().err
 
-    def test_sweep_flame_out(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "300")
+    def test_sweep_flame_out(self, tmp_path, capsys):
         target = tmp_path / "sweep.flame"
         assert main(["sweep", "--kernels", "dc_filter",
                      "--configs", "HOM64", "--variants", "basic",
@@ -193,3 +175,34 @@ class TestCliFlame:
         err = capsys.readouterr().err
         assert target.exists()
         assert "stack sample(s)" in err
+
+    def test_unwritable_flame_out_is_one_error_line(self, tmp_path,
+                                                    capsys):
+        missing = tmp_path / "missing" / "run.flame"
+        # The sweep itself succeeds; losing its profile fails the run.
+        assert main(["sweep", "--kernels", "dc_filter",
+                     "--configs", "HOM64", "--variants", "basic",
+                     "--no-cache", "--quiet",
+                     "--flame-out", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert str(missing) in errors[0]
+
+    def test_unwritable_flame_out_keeps_the_run_status(self, tmp_path,
+                                                       capsys):
+        # An implausibly fast ledger baseline makes the bench gate
+        # fail (exit 3); the lost profile must not mask that verdict.
+        case = "dc_filter@HOM64/basic"
+        append_entry(make_entry("bench", {"total_seconds": 1e-6,
+                                          "cases": {case: 1e-6}}),
+                     ledger_path())
+        missing = tmp_path / "missing" / "bench.flame"
+        assert main(["bench", "--cases", case, "--warmup", "0",
+                     "--repeat", "1", "--quiet", "--compare-ledger",
+                     "--flame-out", str(missing)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: cannot write flame stacks to {missing}" in err

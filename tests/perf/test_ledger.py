@@ -51,16 +51,6 @@ class TestLedgerFile:
         assert all(e["hostname"] == platform.node()
                    for e in entries)
 
-    def test_malformed_lines_skipped_not_fatal(self, tmp_path):
-        path = ledger_path(tmp_path)
-        append_entry(make_entry("bench", {"cases": {}}), path)
-        with open(path, "a") as fh:
-            fh.write("{torn line\n")
-            fh.write(json.dumps({"kind": "something-else"}) + "\n")
-        entries, skipped = read_ledger(path)
-        assert len(entries) == 1
-        assert skipped == 2
-
     def test_filters_and_limit(self, tmp_path):
         path = ledger_path(tmp_path)
         for i in range(5):

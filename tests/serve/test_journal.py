@@ -21,7 +21,6 @@ from repro.serve.journal import (
     JOURNAL_FILENAME,
     JobJournal,
     journal_path,
-    journalling_enabled,
 )
 
 BODY = {"kernels": ["dc_filter"], "configs": ["HOM64"],
@@ -51,11 +50,13 @@ class TestJournalFile:
         assert journal_path(tmp_path) \
             == tmp_path / JOURNAL_FILENAME
 
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.delenv(ENV_JOURNAL, raising=False)
-        assert journalling_enabled()
+    def test_env_opt_out(self, journal, monkeypatch):
         monkeypatch.setenv(ENV_JOURNAL, "0")
-        assert not journalling_enabled()
+        assert journal.record("submitted", "job-1", body=BODY) is None
+        assert not journal.path.exists()
+        monkeypatch.delenv(ENV_JOURNAL)
+        assert journal.record("submitted", "job-1", body=BODY)
+        assert journal.write_errors == 0
 
     def test_record_then_replay_reduces_to_last_event(self, journal):
         journal.record("submitted", "job-1", job_kind="sweep",
@@ -69,19 +70,6 @@ class TestJournalFile:
         assert jobs["job-1"]["body"] == BODY
         assert jobs["job-1"]["priority"] == 2
         assert jobs["job-2"]["event"] == "submitted"
-
-    def test_reader_skips_and_counts_foreign_lines(self, journal):
-        journal.record("submitted", "job-1", job_kind="sweep",
-                       body=BODY)
-        with open(journal.path, "a") as handle:
-            handle.write("not json at all\n")
-            handle.write(json.dumps({"kind": "run-ledger"}) + "\n")
-            handle.write(json.dumps({"kind": "job-event",
-                                     "event": "vanished",
-                                     "job_id": "job-1"}) + "\n")
-        jobs, skipped = journal.replay()
-        assert skipped == 3
-        assert jobs["job-1"]["event"] == "submitted"
 
     def test_missing_file_replays_empty(self, tmp_path):
         jobs, skipped = JobJournal(tmp_path / "never.jsonl").replay()
