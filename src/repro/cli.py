@@ -351,9 +351,10 @@ def _parser():
                        help="gate against the rolling median of the "
                             "last --window same-host bench runs in "
                             "the run ledger; exit 3 on regression")
-    bench.add_argument("--window", type=int, default=5, metavar="N",
+    bench.add_argument("--window", type=int, default=None, metavar="N",
                        help="ledger entries in the rolling median "
-                            "(default 5)")
+                            "(default 5; rejected without "
+                            "--compare-ledger)")
     bench.add_argument("--flame-out", default=None, metavar="FILE",
                        help="sample the bench thread and write "
                             "collapsed flame stacks to FILE")
@@ -1060,6 +1061,8 @@ def _bench(args):
         # the regression gate ran when nothing was compared.
         raise ReproError("--max-regress only applies with --compare "
                          "or --compare-ledger")
+    if args.window is not None and not args.compare_ledger:
+        raise ReproError("--window only applies with --compare-ledger")
     max_regress = args.max_regress if args.max_regress is not None \
         else 25.0
     if args.cases:
@@ -1111,7 +1114,9 @@ def _bench(args):
             ledger.ledger_path(getattr(args, "cache_dir", None)),
             host=_platform.node())
         rows, regressions, used = ledger.compare_to_ledger(
-            payload, entries, window=args.window,
+            payload, entries,
+            window=(ledger.DEFAULT_WINDOW if args.window is None
+                    else args.window),
             max_regress_pct=max_regress)
         print(f"ledger gate: rolling median of the last {used} "
               f"same-host bench run(s)", file=out)

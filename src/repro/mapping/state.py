@@ -317,7 +317,9 @@ class PartialMapping:
             self._worst_pressure = pressure
         if old <= depth < new:
             self._n_over_exact += 1
-        # The ACMAP estimate adds a one-word reserve on busy tiles.
+        # The ACMAP estimate adds a one-word reserve on busy tiles: the
+        # gap the next placement may open (Sec III-D.2's approximation
+        # keeps some unfitting mappings and drops some fitting ones).
         approx_old = old if was_empty else old + 1
         if approx_old <= depth < new + 1:
             self._n_over_approx += 1
@@ -436,19 +438,6 @@ class PartialMapping:
     def exact_pnops(self, tile):
         """Exact PNOP count (maintained incrementally by ``occupy``)."""
         return self._tile_pnops[tile]
-
-    def approx_pnops(self, tile):
-        """ACMAP's pessimistic estimate: current gaps plus a reserve.
-
-        The reserve accounts for the gap the *next* placement may open
-        — cheap, over-counts for finished tiles, under-counts distant
-        futures, exactly the approximate behaviour Sec III-D.2
-        describes (keeps some unfitting mappings, drops some fitting
-        ones).
-        """
-        if not self.tile_cycles[tile]:
-            return 0
-        return self._tile_pnops[tile] + 1
 
     def tile_context_words(self, tile, exact=True):
         """CM words this block needs on ``tile`` so far (+ committed)."""

@@ -36,10 +36,6 @@ class TEDG:
         """Tiles able to read ``tile``'s output port the next cycle."""
         return self.cgra.neighbors(tile)
 
-    def can_hold(self, tile):
-        """RF(P,t) -> RF(P,t+1) always exists (RF values persist)."""
-        return True
-
     def fu_nodes(self, cycle):
         """All FU nodes of one time slice (for introspection/tests)."""
         return [(("FU", tile), cycle) for tile in range(self.cgra.n_tiles)]

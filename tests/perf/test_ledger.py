@@ -210,3 +210,9 @@ class TestCliLedger:
         assert main(BENCH_ARGS + ["--max-regress", "10"]) == 1
         assert "--max-regress only applies" in \
             capsys.readouterr().err
+
+    def test_window_rejected_without_compare_ledger(self, capsys):
+        # Same rule as --max-regress: an ignored window would hide
+        # that no ledger gate ran.
+        assert main(BENCH_ARGS + ["--window", "3"]) == 1
+        assert "--window only applies" in capsys.readouterr().err
