@@ -19,6 +19,7 @@ Regenerate after an *intended* mapper change::
     PYTHONPATH=src python tests/golden/test_golden_mappings.py
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -50,7 +51,30 @@ def mapping_snapshot(result):
         "total_movs": result.total_movs,
         "total_pnops": result.total_pnops,
         "total_words": result.total_words,
+        "placement_digest": placement_digest(result),
     }
+
+
+def placement_digest(result):
+    """SHA-256 over every block's placements, MOVs, homes and attempts.
+
+    The aggregates above can hide a swapped pair of placements; this
+    pins the mapping decisions themselves: placements sorted by op,
+    MOVs in insertion order, new symbol homes in fixing order and the
+    number of attempts the block needed.
+    """
+    blocks = []
+    for name in result.block_order:
+        block = result.blocks[name]
+        blocks.append([
+            name,
+            sorted(block.placements.items()),
+            block.movs,
+            list(block.new_homes.items()),
+            block.attempts,
+        ])
+    encoded = json.dumps(blocks, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 def _params():
