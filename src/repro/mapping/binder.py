@@ -16,12 +16,19 @@ Candidates on CAB-blacklisted tiles are skipped when the flow enables
 constraint-aware binding.  The exactness of the per-operation
 enumeration (nothing is skipped before the pruning stages) mirrors the
 paper's exact sub-graph-match binding.
+
+Enumeration builds nothing: each legal placement is a
+:class:`Candidate` scored on its parent mapping, and only those the
+pruning stages keep are materialised as clones.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.ir import analysis, opcodes
 from repro.mapping import routing
+from repro.mapping.state import TrialOccupancy, produced, with_rf_event
 
 
 class BindContext:
@@ -32,7 +39,6 @@ class BindContext:
         self.cgra = cgra
         self.options = options
         self.asap = analysis.asap_levels(dfg)
-        self.ops_by_uid = {op.uid: op for op in dfg.ops}
         #: op uid -> ops consuming its result (routing targets)
         self.data_consumers = {
             op.uid: dfg.data_successors(op) for op in dfg.ops}
@@ -44,11 +50,7 @@ class BindContext:
         #: data uid -> symbol name, for the location constraints
         self.symbol_of = {node.uid: symbol for symbol, node
                           in dfg.symbol_inputs.items()}
-        #: route-query memo shared by every sibling partial mapping of
-        #: this block attempt (see repro.mapping.routing)
-        self.route_memo = {}
-        #: hot-path copies of the flow options the binder reads per
-        #: candidate
+        #: hot-path copies of the options the binder reads per candidate
         self.cab = options.cab
         self.max_route_movs = options.max_route_movs
         #: op uid -> needs an LSU tile (precomputed opcode class)
@@ -67,57 +69,115 @@ def candidate_tiles(ctx, pm, op):
     return tiles
 
 
+@dataclasses.dataclass(slots=True, eq=False)
+class Candidate:
+    """A scored extension of a partial mapping, not yet built.
+
+    ``score`` is what the pruning stages read; the rest is what
+    :meth:`materialise` replays: new CRF constants, new ``(symbol,
+    tile)`` homes, ``(uid, home, route)`` per symbol operand and the
+    result's route to each placed consumer.
+    """
+
+    parent: object
+    op: object
+    tile: int
+    cycle: int
+    consts: list
+    homes: list
+    reads: list
+    result_routes: list
+    score: tuple
+
+    def cost(self):
+        return self.score[0]
+
+    def fits_approx(self):
+        return self.score[1]
+
+    def fits_exact(self):
+        return self.score[2]
+
+    def materialise(self):
+        """The candidate as a clone of its parent (no route search)."""
+        pm = self.parent.clone()
+        pm.place_op(self.op.uid, self.tile, self.cycle)
+        for value in self.consts:
+            pm.register_const(self.tile, value)
+        for symbol, home in self.homes:
+            pm.fix_home(symbol, home)
+        for uid, home, route in self.reads:
+            pm.add_rf_event(uid, home, 0)
+            routing.commit_route(pm, uid, route)
+        result = self.op.result
+        if result is not None:
+            pm.record_production(result.uid, self.tile, self.cycle)
+            for route in self.result_routes:
+                routing.commit_route(pm, result.uid, route)
+        return pm
+
+
 def try_bind(ctx, pm, op, tile, cycle):
-    """Attempt to place ``op`` at ``(tile, cycle)``; None on failure."""
+    """Score placing ``op`` at ``(tile, cycle)`` on ``pm``.
+
+    Returns a :class:`Candidate`, or None when a constant, a location
+    constraint or a route cannot be met; an illegal slot raises as
+    ``PartialMapping.occupy`` does.  ``pm`` is left as it was.
+    """
     blacklist = pm.blacklist if ctx.cab else frozenset()
-    candidate = pm.clone()
-    candidate.place_op(op.uid, tile, cycle)
-    operands = op.operands
-    seen_operands = set() if len(operands) > 1 else None
-    for operand in operands:
-        if seen_operands is not None:
-            if operand.uid in seen_operands:
-                continue
-            seen_operands.add(operand.uid)
-        if operand.is_const:
-            if not candidate.register_const(tile, operand.value):
-                return None
-        elif operand.is_symbol:
-            symbol = ctx.symbol_of[operand.uid]
-            home = candidate.home_of(symbol)
-            if home is None:
-                # First touch: the location constraint is fixed here.
-                candidate.fix_home(symbol, tile)
-                home = tile
-            candidate.add_rf_event(operand.uid, home, 0)
-            route = routing.route_to_operand(
-                candidate, operand.uid, tile, cycle,
-                ctx.max_route_movs, blacklist, ctx.route_memo)
-            if route is None and blacklist:
-                # Reading a symbol requires touching its home tile even
-                # if CAB blacklisted it — the location constraint wins;
-                # ECMAP arbitrates whether the result still fits.
+    max_movs = ctx.max_route_movs
+    trial = TrialOccupancy(pm)
+    try:
+        trial.occupy(tile, cycle, ("op", op.uid))
+        consts, homes, reads, result_routes = [], [], [], []
+        crf = pm.const_tiles[tile]
+        for operand in {o.uid: o for o in op.operands}.values():
+            if operand.is_const:
+                if operand.value not in crf:
+                    if len(crf) >= ctx.cgra.tile(tile).crf_words:
+                        return None
+                    crf = crf | {operand.value}
+                    consts.append(operand.value)
+            elif operand.is_symbol:
+                symbol = ctx.symbol_of[operand.uid]
+                home = pm.home_of(symbol)
+                if home is None:
+                    # First touch: the location constraint is fixed here.
+                    homes.append((symbol, tile))
+                    home = tile
+                rf_events, port_events = pm.events(operand.uid)
+                events = (with_rf_event(rf_events, home, 0), port_events)
                 route = routing.route_to_operand(
-                    candidate, operand.uid, tile, cycle,
-                    ctx.max_route_movs, memo=ctx.route_memo)
-            if route is None:
-                return None
-            routing.commit_route(candidate, operand.uid, route)
-        # Op-result operands: their producers bind later (backward
-        # order) and will route toward this placement.
-    if op.result is not None:
-        candidate.record_production(op.result.uid, tile, cycle)
-        for consumer in ctx.data_consumers[op.uid]:
-            placement = candidate.placements.get(consumer.uid)
-            if placement is None:
-                continue
-            route = routing.route_to_operand(
-                candidate, op.result.uid, placement[0], placement[1],
-                ctx.max_route_movs, blacklist, ctx.route_memo)
-            if route is None:
-                return None
-            routing.commit_route(candidate, op.result.uid, route)
-    return candidate
+                    pm, operand.uid, tile, cycle, max_movs, blacklist,
+                    events)
+                if route is None and blacklist:
+                    # The location constraint beats CAB's blacklist;
+                    # ECMAP arbitrates whether the result still fits.
+                    route = routing.route_to_operand(
+                        pm, operand.uid, tile, cycle, max_movs,
+                        events=events)
+                if route is None:
+                    return None
+                trial.take_route(operand.uid, route, events)
+                reads.append((operand.uid, home, route))
+            # Op-result operands: their producers bind later (backward
+            # order) and will route toward this placement.
+        if op.result is not None:
+            uid = op.result.uid
+            events = produced(pm.events(uid), tile, cycle)
+            for consumer in ctx.data_consumers[op.uid]:
+                if (placement := pm.placements.get(consumer.uid)) is None:
+                    continue
+                route = routing.route_to_operand(
+                    pm, uid, *placement, max_movs, blacklist, events)
+                if route is None:
+                    return None
+                events = trial.take_route(uid, route, events)
+                result_routes.append(route)
+        return Candidate(pm, op, tile, cycle, consts, homes, reads,
+                         result_routes, trial.score())
+    finally:
+        trial.withdraw()
 
 
 def _least_used_tile(pm, blacklist):
@@ -155,12 +215,10 @@ def _route_home(ctx, candidate, uid, target, blacklist):
     """
     deadline = candidate.length + ctx.options.finalize_slack
     route = routing.route_to_rf(
-        candidate, uid, target, deadline,
-        ctx.max_route_movs, blacklist, ctx.route_memo)
+        candidate, uid, target, deadline, ctx.max_route_movs, blacklist)
     if route is None and blacklist:
         route = routing.route_to_rf(
-            candidate, uid, target, deadline,
-            ctx.max_route_movs, memo=ctx.route_memo)
+            candidate, uid, target, deadline, ctx.max_route_movs)
     return route
 
 
@@ -264,7 +322,7 @@ def _rf_pressure_ok(candidate):
 
 
 def bind_candidates(ctx, pm, op, full_window=False):
-    """All extensions of ``pm`` placing ``op`` (one best cycle per tile).
+    """Scored extensions of ``pm`` placing ``op`` (one best cycle per tile).
 
     Cycles are scanned latest-first within ``options.cycle_window`` so
     schedules stay tight; the earliest legal cycle is the op's ASAP

@@ -240,7 +240,9 @@ def _map_block_once(dfg, length, cgra, committed, options, rng):
             candidates = acmap_filter(candidates)
             if not candidates:
                 raise BlockBindFailure(op.uid, "acmap")
-        partials = stochastic_prune(candidates, options.prune_cap, rng)
+        # Only the prune's survivors are built (cloned from a parent).
+        partials = [candidate.materialise() for candidate
+                    in stochastic_prune(candidates, options.prune_cap, rng)]
         if options.ecmap:
             partials = ecmap_filter(partials)
             if not partials:

@@ -1,6 +1,8 @@
 """Pruning stages of the mapping flow (Fig 4).
 
-Three filters act on the set of live partial mappings:
+Three filters act on the live partial mappings (ACMAP and the
+stochastic stage on the binder's scored candidates, which answer the
+same ``cost``/``fits_*`` queries):
 
 - **stochastic pruning** (basic flow, Sec III-B): caps the
   exponentially-growing set of partial mappings; keeps an elite by
@@ -20,9 +22,9 @@ from __future__ import annotations
 def acmap_filter(partials):
     """Approximate context-memory aware pruning.
 
-    ``fits_approx`` reads the overflow counter ``occupy`` maintains,
-    so the whole filter is O(1) per partial mapping instead of a scan
-    over every tile's context words.
+    ``fits_approx`` reads the overflow counter ``occupy`` maintains
+    (or a candidate's scored copy of it), so the whole filter is O(1)
+    per item instead of a scan over every tile's context words.
     """
     return [pm for pm in partials if pm.fits_approx()]
 

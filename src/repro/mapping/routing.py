@@ -25,27 +25,23 @@ by CAB accept no new instructions (routing is "constraint aware" too).
 This subsumes the paper's *re-routing* graph transformation: extra
 moves are exactly what re-routing inserts.
 
-Two layers keep the search off the flow's critical path without
-changing a single returned route:
+**Admissible bounding** keeps the search off the flow's critical path
+without changing a single returned route.  Torus hop distances
+(precomputed tables on the :class:`~repro.arch.cgra.CGRA`) lower-bound
+both the MOVs and the cycles any completion of a state still needs.
+States that provably cannot reach the goal within ``max_movs`` and the
+time horizon are never enqueued — including whole searches whose start
+states are all hopeless, which return ``None`` before the BFS
+allocates anything.  The bounds are lower bounds on *any* path, so
+pruned states can never lie on a returned route, and the pop order and
+parent choice of every goal-reaching state are untouched: the
+surviving search is bit-identical to the exhaustive one.
 
-- **Admissible bounding.**  Torus hop distances (precomputed tables on
-  the :class:`~repro.arch.cgra.CGRA`) lower-bound both the MOVs and
-  the cycles any completion of a state still needs.  States that
-  provably cannot reach the goal within ``max_movs`` and the time
-  horizon are never enqueued — including whole searches whose start
-  states are all hopeless, which return ``None`` before the BFS
-  allocates anything.  The bounds are lower bounds on *any* path, so
-  pruned states can never lie on a returned route, and the pop order
-  and parent choice of every goal-reaching state are untouched: the
-  surviving search is bit-identical to the exhaustive one.
-- **Memoisation.**  Sibling partial mappings (clones of one parent
-  explored by the binder) keep issuing identical route queries.  A
-  query's outcome depends only on the value's (immutable) availability
-  event tuples, the goal, the budget, the blacklist and the occupancy
-  of issue slots below the horizon — so callers may pass a ``memo``
-  dict (scoped to one block attempt by the binder) keyed on exactly
-  those, and both successful routes and failures are replayed instead
-  of re-searched.
+The search reads only the value's availability events and the issue
+slots of ``pm.tile_cycles``.  The binder scores a candidate on its
+parent mapping, so it passes the candidate's events explicitly and
+lends the candidate's slots to the parent while it searches (see
+:class:`~repro.mapping.state.TrialOccupancy`).
 """
 
 from __future__ import annotations
@@ -57,15 +53,6 @@ from repro.mapping.state import _CYCLE_BITS, _CYCLE_MASK
 #: Default cap on MOVs per routed edge; routes beyond this are
 #: considered failed (the caller falls back to other transformations).
 MAX_ROUTE_MOVS = 8
-
-#: Memo sentinel distinguishing "never searched" from "search failed".
-_MISS = object()
-
-#: Queries whose earliest availability event sits closer than this to
-#: the horizon run a tiny BFS — cheaper than building the memo key —
-#: and bypass the memo; distant events mean long wait/hop frontiers,
-#: which is where replaying an earlier identical query pays.
-MEMO_MIN_GAP = 4
 
 
 class Route:
@@ -86,8 +73,8 @@ class Route:
 
 #: States are packed into ints for fast hashing: a high bit selects
 #: the port kind, the middle bits the tile, the low bits the cycle.
-#: The cycle width is state.py's — ``PartialMapping.occupy`` rejects
-#: cycles beyond it, which is what makes this packing alias-free; the
+#: The cycle width is state.py's — ``check_slot`` rejects cycles
+#: beyond it, which is what makes this packing alias-free; the
 #: two modules must agree, so the constants are imported, not
 #: redefined.
 _TILE_SHIFT = _CYCLE_BITS
@@ -112,16 +99,12 @@ def _trace(parents, state):
     return Route(movs)
 
 
-def _memo_worthwhile(rf_events, port_events, horizon):
-    """True when the earliest event leaves a wide search window."""
-    first = horizon
-    for _, c in rf_events:
-        if c < first:
-            first = c
-    for _, c in port_events:
-        if c < first:
-            first = c
-    return horizon - first >= MEMO_MIN_GAP
+def _in_rf_by(rf_events, tile, cycle):
+    """Whether the value sits in ``tile``'s RF by ``cycle``."""
+    for event_tile, event_cycle in rf_events:
+        if event_tile == tile:
+            return event_cycle <= cycle
+    return False
 
 
 def _search_operand(pm, rf_events, port_events, tile, cycle, max_movs,
@@ -329,69 +312,38 @@ def _search_landing(pm, rf_events, port_events, tile, deadline,
 
 def route_to_operand(pm, value_uid, tile, cycle,
                      max_movs=MAX_ROUTE_MOVS, blacklist=frozenset(),
-                     memo=None):
+                     events=None):
     """Make the value readable by an instruction at ``(tile, cycle)``.
 
-    Returns a :class:`Route` (possibly empty) or None.  ``memo`` — an
-    optional dict shared across sibling partial mappings — replays
-    previously-searched queries (see the module docstring).
+    Returns a :class:`Route` (possibly empty) or None.  ``events`` —
+    ``(rf_events, port_events)`` — stands in for the value's events
+    in ``pm`` (the binder's scorer keeps them outside the mapping).
     """
+    rf_events, port_events = events or pm.events(value_uid)
     # Inlined readable_at: already-readable values route for free.
-    rf_events = pm.rf_avail.get(value_uid, ())
-    for event_tile, event_cycle in rf_events:
-        if event_tile == tile:
-            if event_cycle <= cycle:
-                return Route([])
-            break
-    port_events = pm.port_events.get(value_uid, ())
+    if _in_rf_by(rf_events, tile, cycle):
+        return Route([])
     if port_events:
         neighbors = pm.cgra.neighbor_table[tile]
         for event_tile, event_cycle in port_events:
             if event_cycle == cycle and event_tile in neighbors:
                 return Route([])
-    if memo is None or not _memo_worthwhile(rf_events, port_events, cycle):
-        return _search_operand(pm, rf_events, port_events, tile, cycle,
-                               max_movs, blacklist)
-    key = ("op", tile, cycle, max_movs, blacklist, rf_events,
-           port_events, pm.occupancy_key(cycle))
-    hit = memo.get(key, _MISS)
-    if hit is not _MISS:
-        return None if hit is None else Route(list(hit))
-    route = _search_operand(pm, rf_events, port_events, tile, cycle,
-                            max_movs, blacklist)
-    memo[key] = None if route is None else tuple(route.movs)
-    return route
+    return _search_operand(pm, rf_events, port_events, tile, cycle,
+                           max_movs, blacklist)
 
 
 def route_to_rf(pm, value_uid, tile, deadline,
-                max_movs=MAX_ROUTE_MOVS, blacklist=frozenset(),
-                memo=None):
+                max_movs=MAX_ROUTE_MOVS, blacklist=frozenset()):
     """Land the value in ``tile``'s RF no later than ``deadline``.
 
     ``deadline`` is an availability cycle: ``rf(tile, c <= deadline)``.
-    Returns a :class:`Route` or None.  ``memo`` as in
-    :func:`route_to_operand`.
+    Returns a :class:`Route` or None.
     """
-    rf_events = pm.rf_avail.get(value_uid, ())
-    for event_tile, event_cycle in rf_events:
-        if event_tile == tile:
-            if event_cycle <= deadline:
-                return Route([])
-            break
-    port_events = pm.port_events.get(value_uid, ())
-    if memo is None or not _memo_worthwhile(rf_events, port_events,
-                                            deadline):
-        return _search_landing(pm, rf_events, port_events, tile,
-                               deadline, max_movs, blacklist)
-    key = ("rf", tile, deadline, max_movs, blacklist, rf_events,
-           port_events, pm.occupancy_key(deadline))
-    hit = memo.get(key, _MISS)
-    if hit is not _MISS:
-        return None if hit is None else Route(list(hit))
-    route = _search_landing(pm, rf_events, port_events, tile, deadline,
-                            max_movs, blacklist)
-    memo[key] = None if route is None else tuple(route.movs)
-    return route
+    rf_events, port_events = pm.events(value_uid)
+    if _in_rf_by(rf_events, tile, deadline):
+        return Route([])
+    return _search_landing(pm, rf_events, port_events, tile, deadline,
+                           max_movs, blacklist)
 
 
 def commit_route(pm, value_uid, route):

@@ -16,10 +16,11 @@ idle gap *before or between* them; trailing idle cycles and blocks in
 which the tile never wakes up cost nothing (the tile sleeps until the
 global block-end broadcast).
 
-Performance note: the binder clones a partial mapping for every
-placement candidate, so per-value event containers are stored as
-immutable tuples/frozensets — ``clone()`` copies only the outer dicts
-(pointer copies), and updates replace the small inner values.
+Performance note: the binder scores each placement candidate on its
+parent (:class:`TrialOccupancy` lends it the candidate's slots) and
+clones only the prune survivors.  Per-value event containers are
+immutable tuples/frozensets, so the scorer keeps its events in local
+tuples and ``clone()`` copies only the outer containers.
 
 All context accounting is incremental: ``occupy`` maintains per-tile
 busy counts, PNOP counts, context words and the derived pruning
@@ -28,22 +29,20 @@ counters) in O(1) per placed instruction, so ``cost()`` and the
 ACMAP/ECMAP fitness checks never rescan the schedule.  Per-tile words
 only ever grow while instructions are added (a new instruction adds
 one word and changes the PNOP count by -1, 0 or +1), which is what
-makes the running-maximum pressure exact; the rare whole-schedule
-shifts (``stretch``/``compress``) rebuild the aggregates outright.
+makes the running-maximum pressure exact and lets a scored candidate
+derive them from its final per-tile words alone.  ``compress``, the
+one whole-schedule shift, rebuilds the aggregates outright.
 """
 
 from __future__ import annotations
 
 from repro.errors import MappingError
 
-#: Bits reserved for the cycle in encoded occupancy slots; schedules
-#: stay far below 2**12 cycles (lengths grow geometrically from tens).
+#: Bits reserved for the cycle in the router's packed states;
+#: schedules stay far below 2**12 cycles (lengths grow geometrically
+#: from tens).
 _CYCLE_BITS = 12
 _CYCLE_MASK = (1 << _CYCLE_BITS) - 1
-
-#: Occupancy delta-log length at which ``occupy`` folds the log into a
-#: fresh base token (see ``occupancy_key``).
-_OCC_FOLD = 32
 
 
 class CommittedState:
@@ -99,6 +98,64 @@ def pnop_blocks(occupied_cycles):
     return pnops
 
 
+def check_slot(cycles, tile, cycle):
+    """Raise unless ``cycle`` is a legal free slot in a tile's ``cycles``."""
+    if cycle in cycles:
+        raise MappingError(
+            f"slot ({tile},{cycle}) already holds {cycles[cycle]}")
+    if cycle < 0:
+        raise MappingError(f"negative cycle {cycle}")
+    if cycle > _CYCLE_MASK:  # would alias the router's packed states
+        raise MappingError(
+            f"cycle {cycle} exceeds the {_CYCLE_MASK}-cycle "
+            f"schedule bound")
+
+
+def pnops_after(cycles, maximum, pnops, cycle):
+    """A tile's PNOP count after a new instruction at ``cycle``, given
+    its busy ``cycles``, their ``maximum`` (None if idle) and ``pnops``."""
+    if maximum is None:
+        return 1 if cycle > 0 else 0
+    if cycle > maximum:
+        return pnops + 1 if cycle > maximum + 1 else pnops
+    # Insertion strictly inside [0, maximum): the idle run holding
+    # ``cycle`` shrinks, splits, or disappears.
+    left_idle = cycle > 0 and (cycle - 1) not in cycles
+    right_idle = (cycle + 1) not in cycles
+    if left_idle and right_idle:
+        return pnops + 1
+    if not left_idle and not right_idle:
+        return pnops - 1
+    return pnops
+
+
+def with_rf_event(events, tile, cycle):
+    """``events`` plus "readable in ``tile``'s RF from ``cycle``"."""
+    for index, (event_tile, event_cycle) in enumerate(events):
+        if event_tile == tile:
+            if cycle < event_cycle:
+                return (events[:index] + ((tile, cycle),)
+                        + events[index + 1:])
+            return events
+    return events + ((tile, cycle),)
+
+
+def with_port_event(events, tile, cycle):
+    """``events`` plus "on ``tile``'s output port during ``cycle``"."""
+    if (tile, cycle) in events:
+        return events
+    return events + ((tile, cycle),)
+
+
+def produced(events, tile, cycle):
+    """``(rf_events, port_events)`` once an instruction at ``(tile,
+    cycle)`` produced the value: readable in the tile's RF and on its
+    output port from ``cycle + 1``."""
+    rf_events, port_events = events
+    return (with_rf_event(rf_events, tile, cycle + 1),
+            with_port_event(port_events, tile, cycle + 1))
+
+
 def pnop_upper_bound(n_busy, max_cycle):
     """Cheap pessimistic bound on PNOPs (the ACMAP estimate).
 
@@ -125,12 +182,9 @@ class PartialMapping:
         "port_events",
         "const_tiles",
         "new_homes",
-        "_mov_chain",
-        "n_movs",
+        "movs",
         "blacklist",
         "_owned",
-        "_occ_base",
-        "_occ_delta",
         "_tile_max",
         "_tile_min",
         "_tile_pnops",
@@ -153,11 +207,6 @@ class PartialMapping:
         #: tiles whose cycle dict is private to this instance (the
         #: copy-on-write set — see ``clone``)
         self._owned = set(self.tile_cycles)
-        #: occupancy identity: pms sharing ``_occ_base`` hold exactly
-        #: the base schedule plus their ``_occ_delta`` slots — the
-        #: route memo keys on this instead of scanning the schedule
-        self._occ_base = object()
-        self._occ_delta = []
         #: value uid -> tuple of (tile, earliest readable cycle)
         self.rf_avail = {}
         #: value uid -> tuple of (tile, cycle) output-port events
@@ -166,10 +215,8 @@ class PartialMapping:
         self.const_tiles = {t: frozenset() for t in range(cgra.n_tiles)}
         #: symbols homed while mapping this block
         self.new_homes = {}
-        #: (tile, cycle, value_uid) MOVs as a persistent parent-linked
-        #: chain — clones share it by pointer; ``movs`` materialises it
-        self._mov_chain = None
-        self.n_movs = 0
+        #: (tile, cycle, value_uid) MOVs in insertion order
+        self.movs = []
         #: tiles CAB excludes from further binding (aware flow only)
         self.blacklist = frozenset()
         #: incremental PNOP accounting (kept exact by ``occupy``)
@@ -216,9 +263,8 @@ class PartialMapping:
         # Per-tile cycle dicts are shared copy-on-write: only the
         # outer dict is copied, and both sides give up in-place
         # mutation rights — ``occupy`` re-copies a tile's dict on the
-        # first write after a clone (most candidates touch only a few
-        # tiles, the clone itself is what the binder does ~100k times
-        # per kernel).
+        # first write after a clone (a materialised candidate touches
+        # only a few tiles).
         new.tile_cycles = dict(self.tile_cycles)
         new._owned = set()
         self._owned.clear()
@@ -227,11 +273,8 @@ class PartialMapping:
         new.port_events = dict(self.port_events)
         new.const_tiles = dict(self.const_tiles)
         new.new_homes = dict(self.new_homes)
-        new._mov_chain = self._mov_chain
-        new.n_movs = self.n_movs
+        new.movs = list(self.movs)
         new.blacklist = self.blacklist
-        new._occ_base = self._occ_base
-        new._occ_delta = self._occ_delta.copy()
         new._tile_max = list(self._tile_max)
         new._tile_min = list(self._tile_min)
         new._tile_pnops = list(self._tile_pnops)
@@ -250,91 +293,53 @@ class PartialMapping:
 
     def occupy(self, tile, cycle, descriptor):
         cycles = self.tile_cycles[tile]
-        if cycle in cycles:
-            raise MappingError(
-                f"slot ({tile},{cycle}) already holds {cycles[cycle]}")
-        if cycle < 0:
-            raise MappingError(f"negative cycle {cycle}")
-        if cycle > _CYCLE_MASK:
-            # The packed occupancy/routing state encodings reserve 12
-            # bits for the cycle; schedules this long never map anyway
-            # — fail loudly instead of silently aliasing slots.
-            raise MappingError(
-                f"cycle {cycle} exceeds the {_CYCLE_MASK}-cycle "
-                f"schedule bound")
+        check_slot(cycles, tile, cycle)
         if tile not in self._owned:
             cycles = dict(cycles)
             self.tile_cycles[tile] = cycles
             self._owned.add(tile)
-        # Inlined exact-PNOP bookkeeping (one call frame per placed
-        # instruction adds up to whole-percent map time).
-        pnops = self._tile_pnops
         maximum = self._tile_max[tile]
-        was_empty = maximum is None
-        pnops_before = pnops[tile]
+        pnops_before = self._tile_pnops[tile]
+        pnops = pnops_after(cycles, maximum, pnops_before, cycle)
+        words = self._tile_words[tile] + 1 + pnops - pnops_before
+        (self._worst_pressure, self._total_words, self._n_over_exact,
+         self._n_over_approx) = self._aggregates_with({tile: words})
+        if maximum is None or cycle > maximum:
+            self._tile_max[tile] = cycle
         minimum = self._tile_min[tile]
         if minimum is None or cycle < minimum:
             self._tile_min[tile] = cycle
-        if was_empty:
-            self._tile_max[tile] = cycle
-            pnops[tile] = 1 if cycle > 0 else 0
-        elif cycle > maximum:
-            if cycle > maximum + 1:
-                pnops[tile] += 1
-            self._tile_max[tile] = cycle
-        else:
-            # Insertion strictly inside [0, maximum): the idle run
-            # holding ``cycle`` shrinks, splits, or disappears.
-            left_idle = cycle > 0 and (cycle - 1) not in cycles
-            right_idle = (cycle + 1) not in cycles
-            if left_idle and right_idle:
-                pnops[tile] += 1
-            elif not left_idle and not right_idle:
-                pnops[tile] -= 1
+        self._tile_pnops[tile] = pnops
+        self._tile_words[tile] = words
         cycles[cycle] = descriptor
         if cycle >= self.length:
             self.length = cycle + 1
-        # Occupancy identity: extend the delta log, or fold it into a
-        # fresh base token once it grows past the constant bound.
-        delta = self._occ_delta
-        if len(delta) >= _OCC_FOLD:
-            self._occ_base = object()
-            delta.clear()
-        else:
-            delta.append((tile << _CYCLE_BITS) | cycle)
-        # Context-word and pruning-aggregate maintenance.  The new
-        # instruction adds one word; the PNOP delta is -1, 0 or +1, so
-        # per-tile words never shrink and the running maximum pressure
-        # stays exact.
-        words = self._tile_words
-        old = words[tile]
-        new = old + 1 + pnops[tile] - pnops_before
-        words[tile] = new
-        self._total_words += new - old
-        depth = self.cgra.cm_depths[tile]
-        pressure = new / depth
-        if pressure > self._worst_pressure:
-            self._worst_pressure = pressure
-        if old <= depth < new:
-            self._n_over_exact += 1
-        # The ACMAP estimate adds a one-word reserve on busy tiles: the
-        # gap the next placement may open (Sec III-D.2's approximation
-        # keeps some unfitting mappings and drops some fitting ones).
-        approx_old = old if was_empty else old + 1
-        if approx_old <= depth < new + 1:
-            self._n_over_approx += 1
 
-    def occupancy_key(self, horizon):
-        """Hashable identity of the issue slots below ``horizon``.
+    def _aggregates_with(self, tile_words):
+        """Worst pressure, total words and exact/ACMAP overflow counts
+        once each tile in ``tile_words`` holds that many words.
 
-        Two partial mappings with equal keys occupy exactly the same
-        slots at cycles ``< horizon``: the shared base token pins the
-        schedule at the last fold point and the delta log lists every
-        slot taken since.  O(len(delta)) — the route memo's key cost.
+        Words never shrink (see the module docstring), so the running
+        aggregates follow from each tile's end state.  The ACMAP
+        estimate adds a one-word reserve on busy tiles: the gap the
+        next placement may open (Sec III-D.2's approximation keeps
+        some unfitting mappings and drops some fitting ones).
         """
-        return (self._occ_base,
-                frozenset(slot for slot in self._occ_delta
-                          if slot & _CYCLE_MASK < horizon))
+        worst = self._worst_pressure
+        total = self._total_words
+        n_over_exact = self._n_over_exact
+        n_over_approx = self._n_over_approx
+        for tile, new in tile_words.items():
+            old = self._tile_words[tile]
+            depth = self.cgra.cm_depths[tile]
+            total += new - old
+            worst = max(worst, new / depth)
+            if old <= depth < new:
+                n_over_exact += 1
+            approx_old = old if self._tile_max[tile] is None else old + 1
+            if approx_old <= depth < new + 1:
+                n_over_approx += 1
+        return worst, total, n_over_exact, n_over_approx
 
     def place_op(self, uid, tile, cycle):
         self.occupy(tile, cycle, ("op", uid))
@@ -342,59 +347,35 @@ class PartialMapping:
 
     def add_mov(self, tile, cycle, value_uid):
         self.occupy(tile, cycle, ("mov", value_uid))
-        self._mov_chain = (self._mov_chain, (tile, cycle, value_uid))
-        self.n_movs += 1
+        self.movs.append((tile, cycle, value_uid))
 
     @property
-    def movs(self):
-        """The block's MOV instructions in insertion order."""
-        out = []
-        chain = self._mov_chain
-        while chain is not None:
-            chain, entry = chain
-            out.append(entry)
-        out.reverse()
-        return out
+    def n_movs(self):
+        return len(self.movs)
 
     # ------------------------------------------------------------------
     # Value availability events
     # ------------------------------------------------------------------
     def add_rf_event(self, value_uid, tile, cycle):
         """Value readable by ``tile``'s instructions from ``cycle`` on."""
-        events = self.rf_avail.get(value_uid, ())
-        for index, (event_tile, event_cycle) in enumerate(events):
-            if event_tile == tile:
-                if cycle < event_cycle:
-                    self.rf_avail[value_uid] = (
-                        events[:index] + ((tile, cycle),)
-                        + events[index + 1:])
-                return
-        self.rf_avail[value_uid] = events + ((tile, cycle),)
+        self.rf_avail[value_uid] = with_rf_event(
+            self.rf_avail.get(value_uid, ()), tile, cycle)
 
     def add_port_event(self, value_uid, tile, cycle):
         """Value on ``tile``'s output port during exactly ``cycle``."""
-        events = self.port_events.get(value_uid, ())
-        if (tile, cycle) not in events:
-            self.port_events[value_uid] = events + ((tile, cycle),)
+        self.port_events[value_uid] = with_port_event(
+            self.port_events.get(value_uid, ()), tile, cycle)
 
     def record_production(self, value_uid, tile, cycle):
-        """An op/MOV at (tile, cycle) produced the value.
+        """An op/MOV at (tile, cycle) produced the value."""
+        (self.rf_avail[value_uid],
+         self.port_events[value_uid]) = produced(
+            self.events(value_uid), tile, cycle)
 
-        Equivalent to ``add_rf_event`` + ``add_port_event`` at
-        ``cycle + 1``, inlined with a fast path for the overwhelmingly
-        common fresh value (no prior events).
-        """
-        after = cycle + 1
-        events = self.rf_avail.get(value_uid)
-        if events is None:
-            self.rf_avail[value_uid] = ((tile, after),)
-        else:
-            self.add_rf_event(value_uid, tile, after)
-        events = self.port_events.get(value_uid)
-        if events is None:
-            self.port_events[value_uid] = ((tile, after),)
-        elif (tile, after) not in events:
-            self.port_events[value_uid] = events + ((tile, after),)
+    def events(self, value_uid):
+        """The value's ``(rf_events, port_events)`` tuples."""
+        return (self.rf_avail.get(value_uid, ()),
+                self.port_events.get(value_uid, ()))
 
     def rf_cycle(self, value_uid, tile):
         """Earliest RF-read cycle of the value on a tile (None if absent)."""
@@ -432,9 +413,6 @@ class PartialMapping:
     # ------------------------------------------------------------------
     # Context-memory accounting
     # ------------------------------------------------------------------
-    def tile_busy_count(self, tile):
-        return len(self.tile_cycles[tile])
-
     def exact_pnops(self, tile):
         """Exact PNOP count (maintained incrementally by ``occupy``)."""
         return self._tile_pnops[tile]
@@ -477,54 +455,6 @@ class PartialMapping:
         if existing is None:
             self.new_homes[symbol] = tile
 
-    # ------------------------------------------------------------------
-    # Schedule stretching (re-route slack transformation)
-    # ------------------------------------------------------------------
-    def stretch(self, delta):
-        """Shift every scheduled event ``delta`` cycles later.
-
-        Block-entry availability (cycle-0 RF events: symbol variables
-        at their home tiles) does not move — those values are present
-        before the block starts.
-        """
-        if delta <= 0:
-            raise MappingError("stretch delta must be positive")
-        self.length += delta
-        self.placements = {uid: (tile, cycle + delta)
-                           for uid, (tile, cycle) in self.placements.items()}
-        self.tile_cycles = {
-            tile: {cycle + delta: desc for cycle, desc in cycles.items()}
-            for tile, cycles in self.tile_cycles.items()
-        }
-        self._owned = set(self.tile_cycles)
-        self._occ_base = object()
-        self._occ_delta = []
-        self.rf_avail = {
-            uid: tuple((tile, cycle + delta if cycle > 0 else 0)
-                       for tile, cycle in events)
-            for uid, events in self.rf_avail.items()
-        }
-        self.port_events = {
-            uid: tuple((tile, cycle + delta) for tile, cycle in events)
-            for uid, events in self.port_events.items()
-        }
-        chain = None
-        for tile, cycle, uid in self.movs:
-            chain = (chain, (tile, cycle + delta, uid))
-        self._mov_chain = chain
-        # A uniform shift preserves every inter-instruction gap; only
-        # tiles that started at cycle 0 gain a leading idle run (one
-        # new PNOP).  The tracked min/max make this O(1) per tile.
-        for tile, minimum in enumerate(self._tile_min):
-            if minimum is None:
-                continue
-            if minimum == 0:
-                self._tile_pnops[tile] += 1
-                self._tile_words[tile] += 1
-            self._tile_min[tile] = minimum + delta
-            self._tile_max[tile] += delta
-        self._init_aggregates()
-
     def compress(self):
         """Trim leading and trailing idle cycles off the schedule.
 
@@ -550,8 +480,6 @@ class PartialMapping:
                        for cycle, desc in cycles.items()}
                 for tile, cycles in self.tile_cycles.items()}
             self._owned = set(self.tile_cycles)
-            self._occ_base = object()
-            self._occ_delta = []
             self.rf_avail = {
                 uid: tuple((tile, cycle - shift if cycle > 0 else 0)
                            for tile, cycle in events)
@@ -559,10 +487,8 @@ class PartialMapping:
             self.port_events = {
                 uid: tuple((tile, cycle - shift) for tile, cycle in events)
                 for uid, events in self.port_events.items()}
-            chain = None
-            for tile, cycle, uid in self.movs:
-                chain = (chain, (tile, cycle - shift, uid))
-            self._mov_chain = chain
+            self.movs = [(tile, cycle - shift, uid)
+                         for tile, cycle, uid in self.movs]
             # The shift closes each tile's leading idle run by
             # ``shift`` cycles; the PNOP disappears only on tiles
             # whose first instruction lands exactly on cycle 0.
@@ -594,3 +520,58 @@ class PartialMapping:
     def __repr__(self):
         return (f"PartialMapping({len(self.placements)} ops, "
                 f"{self.n_movs} movs, L={self.length})")
+
+
+class TrialOccupancy:
+    """Slots lent to a partial mapping for one scoring pass.
+
+    ``occupy`` checks and counts as :meth:`PartialMapping.occupy` does,
+    writing into the mapping's own (maybe sibling-shared) cycle dicts so
+    route searches see the slots busy; ``withdraw`` removes them all.
+    Binding runs on one thread, so no sibling ever observes them.
+    """
+
+    __slots__ = ("pm", "taken", "tiles", "n_movs")
+
+    def __init__(self, pm):
+        self.pm = pm
+        #: (cycle dict, cycle) of every lent slot
+        self.taken = []
+        #: tile -> (latest busy cycle, PNOPs, context words) so far
+        self.tiles = {}
+        self.n_movs = 0
+
+    def occupy(self, tile, cycle, descriptor):
+        pm = self.pm
+        cycles = pm.tile_cycles[tile]
+        check_slot(cycles, tile, cycle)
+        maximum, pnops, words = self.tiles.get(tile) or (
+            pm._tile_max[tile], pm._tile_pnops[tile], pm._tile_words[tile])
+        new_pnops = pnops_after(cycles, maximum, pnops, cycle)
+        if maximum is None or cycle > maximum:
+            maximum = cycle
+        self.tiles[tile] = (maximum, new_pnops,
+                            words + 1 + new_pnops - pnops)
+        cycles[cycle] = descriptor
+        self.taken.append((cycles, cycle))
+
+    def take_route(self, value_uid, route, events):
+        """Lend a route's MOV slots; the value's events after it."""
+        for tile, cycle in route.movs:
+            self.occupy(tile, cycle, ("mov", value_uid))
+            events = produced(events, tile, cycle)
+        self.n_movs += len(route.movs)
+        return events
+
+    def withdraw(self):
+        for cycles, cycle in self.taken:
+            del cycles[cycle]
+        self.taken.clear()
+
+    def score(self):
+        """``(cost(), fits_approx(), fits_exact())`` with the lent slots."""
+        pm = self.pm
+        worst, total, n_over_exact, n_over_approx = pm._aggregates_with(
+            {tile: state[2] for tile, state in self.tiles.items()})
+        cost = (int(worst * 8), pm.n_movs + self.n_movs, worst, total)
+        return cost, n_over_approx == 0, n_over_exact == 0

@@ -10,7 +10,9 @@ comparable documents:
 - ``repro bench --json`` emits the same document for the current
   checkout;
 - ``repro bench --compare BENCH_N.json --max-regress PCT`` exits
-  non-zero when any shared case got more than PCT percent slower.
+  non-zero when any shared case got more than PCT percent slower, or
+  when its deterministic mapping counts differ from the baseline's
+  (a "speedup" that changes a mapping is not a speedup).
 
 Wall-clock times are host-dependent: a comparison is only meaningful
 against a baseline from comparable hardware (the ``host`` block is
@@ -36,6 +38,12 @@ BENCH_JSON_SCHEMA = 2
 
 #: Oldest schema :func:`parse_bench_payload` still reads.
 BENCH_JSON_SCHEMA_MIN = 1
+
+#: Per-case ``counts`` a comparison requires to equal the baseline's.
+#: They do not depend on the host, so any difference is a changed
+#: mapping, never noise.
+GATED_COUNTS = ("mapped", "blocks", "attempts", "ops", "movs", "pnops",
+                "words")
 
 
 def host_info():
@@ -108,14 +116,18 @@ def load_bench_file(path):
 
 
 def compare_benchmarks(current, baseline, max_regress_pct):
-    """Per-case slowdowns of ``current`` against ``baseline``.
+    """Per-case slowdowns and count changes of ``current`` against
+    ``baseline``.
 
     Returns ``(rows, regressions)``: one row per case present in both
     documents (``case``, ``baseline_seconds``, ``seconds``,
-    ``delta_pct``), and the subset whose slowdown exceeds
-    ``max_regress_pct``.  Cases unique to either side are compared
-    with nothing and skipped — a PR may legitimately add or retire
-    cases.
+    ``delta_pct``, ``count_changes``), and the subset whose slowdown
+    exceeds ``max_regress_pct`` or whose :data:`GATED_COUNTS` differ.
+    ``count_changes`` maps each differing count to ``[baseline,
+    current]``; a count the baseline does not record (the ledger's
+    rolling baseline records none) is not compared.  Cases unique to
+    either side are compared with nothing and skipped — a PR may
+    legitimately add or retire cases.
     """
     base_by_name = {c["case"]: c for c in baseline["cases"]}
     rows = []
@@ -126,14 +138,21 @@ def compare_benchmarks(current, baseline, max_regress_pct):
             continue
         delta_pct = ((case["seconds"] - base["seconds"])
                      / base["seconds"] * 100.0)
+        base_counts = base.get("counts") or {}
+        counts = case.get("counts") or {}
         row = {
             "case": case["case"],
             "baseline_seconds": base["seconds"],
             "seconds": case["seconds"],
             "delta_pct": round(delta_pct, 2),
+            "count_changes": {
+                name: [base_counts[name], counts.get(name)]
+                for name in GATED_COUNTS
+                if name in base_counts
+                and counts.get(name) != base_counts[name]},
         }
         rows.append(row)
-        if delta_pct > max_regress_pct:
+        if delta_pct > max_regress_pct or row["count_changes"]:
             regressions.append(row)
     return rows, regressions
 
@@ -143,11 +162,18 @@ def render_comparison(rows, regressions, max_regress_pct):
     lines = [f"{'case':34s} {'base':>9s} {'now':>9s} {'delta':>8s}"]
     for row in rows:
         flag = "  << REGRESSION" if row in regressions else ""
+        changes = ", ".join(
+            f"{name} {base}->{now}"
+            for name, (base, now) in row["count_changes"].items())
+        if changes:
+            flag += f" (counts changed: {changes})"
         lines.append(
             f"{row['case']:34s} {row['baseline_seconds']:9.3f} "
             f"{row['seconds']:9.3f} {row['delta_pct']:+7.1f}%{flag}")
     verdict = (f"{len(regressions)} case(s) regressed more than "
-               f"{max_regress_pct:g}%" if regressions
-               else f"no case regressed more than {max_regress_pct:g}%")
+               f"{max_regress_pct:g}% or changed their counts"
+               if regressions
+               else f"no case regressed more than {max_regress_pct:g}% "
+                    f"or changed its counts")
     lines.append(verdict)
     return "\n".join(lines)

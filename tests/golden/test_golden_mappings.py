@@ -3,11 +3,15 @@
 ``mappings.json`` pins the *mapping-level* outcome of every kernel x
 flow-variant pair on HOM32: per-block schedule lengths, per-block
 per-tile context usage, total context words per tile, MOV and PNOP
-counts.  The mapper's hot-path optimisations (incremental context
-accounting, bounded/memoised route search — see
-``repro.mapping.state``/``routing``) are required to be *bit-exact*
-rewrites: any drift here means an optimisation changed a mapping
-decision, which would silently move the paper's reproduced figures.
+counts, and a ``placement_digest`` over every block's placements,
+MOVs (in order), new symbol homes and attempt count.  The mapper's
+hot-path optimisations (incremental context accounting, bounded route
+search, scoring binding candidates on their parent and cloning only
+the prune survivors — see ``repro.mapping.state``/``routing``/
+``binder``) are required to be *bit-exact* rewrites: any drift here,
+down to one swapped placement, means an optimisation changed a
+mapping decision, which would silently move the paper's reproduced
+figures.
 
 ``points.json`` (test_golden_points) covers the downstream pipeline
 (cycles, energy) on a representative slice; this file covers the whole

@@ -142,27 +142,6 @@ class TestConstants:
         assert not pm.register_const(0, capacity + 1)
 
 
-class TestStretch:
-    def test_stretch_shifts_everything(self, pm):
-        pm.place_op(1, 0, 2)
-        pm.record_production(9, 0, 2)
-        pm.add_mov(1, 3, 9)
-        pm.stretch(2)
-        assert pm.placements[1] == (0, 4)
-        assert pm.rf_cycle(9, 0) == 5
-        assert pm.movs == [(1, 5, 9)]
-        assert pm.length == 10
-
-    def test_stretch_keeps_block_entry_events(self, pm):
-        pm.add_rf_event(3, 0, 0)  # symbol at home since block entry
-        pm.stretch(3)
-        assert pm.rf_cycle(3, 0) == 0
-
-    def test_stretch_requires_positive_delta(self, pm):
-        with pytest.raises(MappingError):
-            pm.stretch(0)
-
-
 class TestContextAccounting:
     def test_words_include_committed(self, cgra):
         committed = CommittedState(cgra).extend([5] + [0] * 15, {})

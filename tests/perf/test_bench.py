@@ -82,11 +82,11 @@ class TestHarness:
         assert result is not None
 
 
-def _payload_with(seconds_by_case):
+def _payload_with(seconds_by_case, counts=None):
     cases = [{"case": name, "kernel": name.split("@")[0],
               "config": "HOM32", "variant": "full",
               "seconds": seconds, "samples": [seconds],
-              "counts": {"mapped": True}}
+              "counts": dict(counts or {"mapped": True})}
              for name, seconds in seconds_by_case.items()]
     return bench_payload(cases, warmup=0, repeat=1, reducer="min")
 
@@ -109,6 +109,41 @@ class TestCompare:
         current = _payload_with({"a@HOM32/full": 1.0,
                                  "new@HOM32/full": 9.0})
         _, regressions = compare_benchmarks(current, baseline, 25.0)
+        assert regressions == []
+
+    def test_changed_counts_regress_even_when_faster(self):
+        counts = {"mapped": True, "blocks": 4, "attempts": 6, "ops": 52,
+                  "movs": 5, "pnops": 17, "words": 74}
+        baseline = _payload_with({"a@HOM32/full": 2.0,
+                                  "b@HOM32/full": 2.0}, counts)
+        current = _payload_with({"a@HOM32/full": 1.0,
+                                 "b@HOM32/full": 1.0},
+                                dict(counts, movs=6, words=75))
+        current["cases"][0]["counts"] = dict(counts)
+        rows, regressions = compare_benchmarks(current, baseline, 25.0)
+        assert rows[0]["count_changes"] == {}
+        assert [r["case"] for r in regressions] == ["b@HOM32/full"]
+        assert regressions[0]["count_changes"] == {"movs": [5, 6],
+                                                   "words": [74, 75]}
+        text = render_comparison(rows, regressions, 25.0)
+        assert "counts changed: movs 5->6, words 74->75" in text
+        assert "1 case(s) regressed" in text
+
+    def test_lost_mapping_is_a_count_change(self):
+        baseline = _payload_with({"a@HOM32/full": 2.0},
+                                 {"mapped": True, "movs": 5})
+        current = _payload_with({"a@HOM32/full": 1.0}, {"mapped": False})
+        _, regressions = compare_benchmarks(current, baseline, 25.0)
+        assert regressions[0]["count_changes"] == {
+            "mapped": [True, False], "movs": [5, None]}
+
+    def test_baseline_without_counts_gates_time_only(self):
+        # The ledger's rolling baseline carries seconds only.
+        baseline = {"cases": [{"case": "a@HOM32/full", "seconds": 2.0}]}
+        current = _payload_with({"a@HOM32/full": 1.0},
+                                {"mapped": True, "movs": 9})
+        rows, regressions = compare_benchmarks(current, baseline, 25.0)
+        assert rows[0]["count_changes"] == {}
         assert regressions == []
 
     def test_load_bench_file_rejects_junk(self, tmp_path):
@@ -146,6 +181,27 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "no case regressed" in out
+
+    def test_bench_compare_exits_nonzero_on_changed_counts(self, tmp_path,
+                                                          capsys):
+        # A generous time budget, but a baseline mapping with one MOV
+        # fewer than the mapper produces: the counts gate fails it.
+        code = cli.main(["bench", "--cases", "dc_filter@HOM32/basic",
+                         "--warmup", "0", "--repeat", "1", "--quiet",
+                         "--json"])
+        assert code == 0
+        counts = json.loads(capsys.readouterr().out)["cases"][0]["counts"]
+        baseline = _payload_with({"dc_filter@HOM32/basic": 1e9},
+                                 dict(counts, movs=counts["movs"] - 1))
+        path = tmp_path / "BENCH_base.json"
+        path.write_text(json.dumps(baseline))
+        code = cli.main(["bench", "--cases", "dc_filter@HOM32/basic",
+                         "--warmup", "0", "--repeat", "1", "--quiet",
+                         "--compare", str(path)])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert (f"counts changed: movs {counts['movs'] - 1}->"
+                f"{counts['movs']}") in out
 
     def test_bench_json_and_out_file(self, tmp_path, capsys):
         out_file = tmp_path / "bench.json"
