@@ -156,6 +156,17 @@ def produced(events, tile, cycle):
             with_port_event(port_events, tile, cycle + 1))
 
 
+def cost_of(worst_pressure, n_movs, total_words):
+    """Lexicographic cost: coarse capacity pressure, MOVs, total.
+
+    Tile pressure is normalised by context-memory depth and bucketed,
+    so on heterogeneous configurations the exploration prefers keeping
+    small-CM tiles lean before it optimises MOV count; within a
+    pressure bucket, fewer MOVs win.
+    """
+    return (int(worst_pressure * 8), n_movs, worst_pressure, total_words)
+
+
 def pnop_upper_bound(n_busy, max_cycle):
     """Cheap pessimistic bound on PNOPs (the ACMAP estimate).
 
@@ -507,15 +518,7 @@ class PartialMapping:
     # Cost (pruning / final selection)
     # ------------------------------------------------------------------
     def cost(self):
-        """Lexicographic cost: coarse capacity pressure, MOVs, total.
-
-        Tile pressure is normalised by context-memory depth and
-        bucketed, so on heterogeneous configurations the exploration
-        prefers keeping small-CM tiles lean before it optimises MOV
-        count; within a pressure bucket, fewer MOVs win.
-        """
-        worst = self._worst_pressure
-        return (int(worst * 8), self.n_movs, worst, self._total_words)
+        return cost_of(self._worst_pressure, self.n_movs, self._total_words)
 
     def __repr__(self):
         return (f"PartialMapping({len(self.placements)} ops, "
@@ -573,5 +576,5 @@ class TrialOccupancy:
         pm = self.pm
         worst, total, n_over_exact, n_over_approx = pm._aggregates_with(
             {tile: state[2] for tile, state in self.tiles.items()})
-        cost = (int(worst * 8), pm.n_movs + self.n_movs, worst, total)
-        return cost, n_over_approx == 0, n_over_exact == 0
+        return (cost_of(worst, pm.n_movs + self.n_movs, total),
+                n_over_approx == 0, n_over_exact == 0)

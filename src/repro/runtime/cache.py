@@ -67,7 +67,9 @@ ENV_CACHE_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 #: by other formats are recognisably *orphaned* — never read, never
 #: crashed on, reported by ``stats()`` and reclaimed by ``clear()``
 #: or LRU eviction.
-CACHE_FORMAT = 4
+#: Format 5: the pickled ``PartialMapping`` dropped its MOV chain and
+#: occupancy identity slots; format-4 payloads no longer unpickle.
+CACHE_FORMAT = 5
 
 _SUFFIX = ".pkl"
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.mapping.flow import FlowOptions
 from repro.runtime.cache import (
+    CACHE_FORMAT,
     ENV_CACHE_DIR,
     ENV_CACHE_MAX_BYTES,
     ResultCache,
@@ -329,6 +330,12 @@ class TestFormatOrphans:
         path = cache.store_point(SPEC, make_point(cycles=777))
         assert path.name.startswith("f")
         assert cache.get_point(SPEC).cycles == 777
+
+    def test_previous_prefixed_format_is_orphaned(self, tmp_path):
+        stale = tmp_path / f"f{CACHE_FORMAT - 1}-{'0' * 64}.pkl"
+        stale.write_bytes(b"payload of an older layout")
+        cache = ResultCache(tmp_path)
+        assert cache.stats()["orphaned_entries"] == 1
 
     def test_stats_report_orphaned_bytes(self, tmp_path):
         cache = ResultCache(self.old_format_dir(tmp_path, entries=2))
